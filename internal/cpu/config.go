@@ -21,7 +21,7 @@ type Config struct {
 	FetchWidth  int
 	IssueWidth  int
 	CommitWidth int
-	ROBSize     int
+	ROBSize     int // at most MaxROBSize
 	LSQSize     int
 	FetchQueue  int
 
